@@ -10,16 +10,15 @@
 // per-layer ones. Every host time except host.ref_s and host.wall_raw_s is
 // calibrated against the reference kernel run before and after it.
 
-#include <malloc.h>
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +42,9 @@ struct Options {
 /// Calls measured per run at the least, however long they take (and never
 /// fewer than one per batch).
 constexpr std::size_t kMinCalls = 3;
+
+/// Host seconds one set-up sample spans at the least.
+constexpr double kMinSetupSeconds = 1e-3;
 
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr,
@@ -100,10 +102,18 @@ double median(std::vector<double> v) {
 
 double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
+/// Peak resident set of the process so far: VmHWM of /proc/self/status.
+/// Not getrusage's ru_maxrss, which keeps the peak of the process image
+/// that exec replaced (the Python launcher in run.py).
 double peakRssMb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // in kB
+    }
+  }
+  throw std::runtime_error("cannot read VmHWM from /proc/self/status");
 }
 
 /// Times reference runs and converts raw host seconds into calibrated ones.
@@ -226,13 +236,18 @@ void printResult(const Tally& tally, const Calibrator& cal,
 // --trace 0: end-to-end metrics, no probe, no tracer.
 
 void runUntraced(const Options& opt, Workload& wl) {
-  Calibrator cal;
   Tally tally;
   const unsigned w = wl.workers();
-  // Warm-up call: thread pool, allocator and page cache settle; not timed.
-  wl.setup(0);
-  tally.add(wl.call(w, nullptr, 0), 0, "warm-up");
+  // Warm-up call of every batch: thread pool, allocator and page cache
+  // settle; not timed. The process's peak resident set is read after them
+  // and before the reference kernel exists, so it is the workload's own.
+  for (std::size_t batch = 0; batch < wl.batches(); ++batch) {
+    wl.setup(batch);
+    tally.add(wl.call(w, nullptr, 0), batch, "warm-up");
+  }
+  const double peakRss = peakRssMb();
 
+  Calibrator cal;
   std::vector<double> wall;
   std::vector<double> wallRaw;
   std::vector<double> setup;
@@ -240,14 +255,18 @@ void runUntraced(const Options& opt, Workload& wl) {
   double refBefore = cal.measure();
   while (secondsSince(start) < opt.seconds || wall.size() < minCalls(wl)) {
     const std::size_t batch = wall.size() % wl.batches();
-    // Set-up is timed over several repetitions (the last one feeds the
-    // call), so that short set-ups still measure well above timer noise.
-    const int repeats = wl.setupRepeats();
+    // Set-up is repeated until the sample spans kMinSetupSeconds (the last
+    // repetition feeds the call), so that short set-ups still measure well
+    // above timer noise.
+    int repeats = 0;
     const Clock::time_point s0 = Clock::now();
-    for (int i = 0; i < repeats; ++i) {
+    double setupSpan = 0.0;
+    do {
       wl.setup(batch);
-    }
-    const double setupRaw = secondsSince(s0) / repeats;
+      ++repeats;
+      setupSpan = secondsSince(s0);
+    } while (setupSpan < kMinSetupSeconds);
+    const double setupRaw = setupSpan / repeats;
     const CallResult r = wl.call(w, nullptr, 0);
     const double refAfter = cal.measure();
     const double f = Calibrator::factor(refBefore, refAfter);
@@ -264,7 +283,7 @@ void runUntraced(const Options& opt, Workload& wl) {
   printResult(tally, cal,
               {{"wall_s", "s", median(wall)},
                {"setup_s", "s", median(setup)},
-               {"peak_rss_mb", "MB", peakRssMb()},
+               {"peak_rss_mb", "MB", peakRss},
                {"sim_makespan_s", "sim_s", tally.makespan()}});
 }
 
@@ -468,10 +487,6 @@ void runTraced(const Options& opt, Workload& wl) {
 int main(int argc, char** argv) {
   using namespace calbench;
   const Options opt = parse(argc, argv);
-  // Pin glibc's mmap threshold at its initial value. Left dynamic, it moves
-  // with the order in which large blocks happen to be freed, and peak RSS
-  // then swung by 20% between runs of one seed.
-  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   try {
     std::unique_ptr<Workload> wl = makeWorkload(opt.workload, opt.seed,
                                                 opt.tiny);

@@ -240,7 +240,6 @@ class ReplayWorkload final : public Workload {
   }
 
   [[nodiscard]] unsigned workers() const override { return 2; }
-  [[nodiscard]] int setupRepeats() const override { return 4; }
 
   void setup(std::size_t /*batch*/) override {
     // The job list the replay must complete, generated from the same model.
@@ -360,53 +359,65 @@ class ReplayWorkload final : public Workload {
 };
 
 // ---------------------------------------------------------------------------
-// checkpoint: a machine-wide IOR campaign, 16 compute shards + 1 storage
-// shard with cache, mixed application sizes, Dynamic policy.
+// checkpoint: the paper's interference experiments, machine-wide: every
+// application size of Figure 4 writing with both periods of Figure 3, one
+// per compute shard, against one storage shard with cache, Dynamic policy.
 
 class CheckpointWorkload final : public Workload {
  public:
   CheckpointWorkload(std::uint64_t seed, bool tiny)
-      : seed_(seed), appsPerShard_(tiny ? 1 : 3), shards_(tiny ? 4 : 16) {}
+      : seed_(seed), tiny_(tiny) {}
 
   [[nodiscard]] unsigned workers() const override { return 2; }
-  [[nodiscard]] int setupRepeats() const override { return 1024; }
 
   void setup(std::size_t /*batch*/) override {
-    // A fixed size mix, shuffled over the shards by the seed: total bytes
-    // stay the same for every seed, placement and timing do not.
-    static constexpr int kSizes[] = {24, 48, 96, 168, 336, 48};
+    // Figure 4: A = 336 processes against B in {8, ..., 336}.
+    static constexpr int kSizes[] = {336, 8, 16, 32, 64, 128, 256, 336};
+    // Figure 3: 8 MiB per process, written every 10 s (10 iterations) by A
+    // and every 7 s (14 iterations) by B.
+    struct Period {
+      int iterations;
+      double computeSeconds;
+    };
+    static constexpr Period kPeriods[] = {{10, 10.0}, {14, 7.0}};
+    // Figure 2 sweeps the start offset dt over [-15, 15] s; which
+    // application comes first is the sign, so offsets are drawn in [0, 15].
+    static constexpr double kMaxOffsetSeconds = 15.0;
+
     sim::Xoshiro256 rng(seed_);
     cfg_ = {};
+    // Figure 3's server caches: one burst fits, two overflow them.
     cfg_.machine = platform::grid5000Nancy(true);
-    cfg_.shards = shards_ + 1;
+    cfg_.machine.fs.server.cacheBytes = 64e6;
+    cfg_.machine.fs.server.restoreFraction = 0.5;
     cfg_.policy = PolicyKind::Dynamic;
-    std::vector<int> sizes;
-    for (std::size_t i = 0; i < shards_ * appsPerShard_; ++i) {
-      sizes.push_back(kSizes[i % std::size(kSizes)]);
-    }
-    for (std::size_t i = sizes.size(); i > 1; --i) {
-      std::swap(sizes[i - 1], sizes[static_cast<std::size_t>(
-                                  rng.uniformInt(0, static_cast<std::int64_t>(
-                                                        i - 1)))]);
-    }
     expectedBytes_ = 0;
     iterations_ = 0;
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      calciom::workload::IorConfig app;
-      app.name = "ior" + std::to_string(i);
-      app.processes = sizes[i];
-      app.pattern = calciom::io::contiguousPattern(8u << 20);
-      app.iterations = 4;
-      app.computeSeconds = rng.uniform(4.0, 12.0);
-      app.startOffset = rng.uniform(0.0, 6.0);
-      expectedBytes_ += static_cast<std::uint64_t>(app.processes) *
-                        app.pattern.bytesPerProcess() *
-                        static_cast<std::uint64_t>(app.filesPerPhase) *
-                        static_cast<std::uint64_t>(app.iterations);
-      iterations_ += static_cast<std::uint64_t>(app.iterations);
-      cfg_.apps.push_back(
-          calciom::analysis::ClusterAppPlan{app, i % shards_});
+    for (const Period& period : kPeriods) {
+      for (int size : kSizes) {
+        calciom::workload::IorConfig app;
+        app.name = "ior" + std::to_string(cfg_.apps.size());
+        app.processes = size;
+        app.pattern = calciom::io::contiguousPattern(8u << 20);
+        app.iterations = tiny_ ? 2 : period.iterations;
+        app.computeSeconds = period.computeSeconds;
+        app.startOffset = rng.uniform(0.0, kMaxOffsetSeconds);
+        expectedBytes_ += static_cast<std::uint64_t>(app.processes) *
+                          app.pattern.bytesPerProcess() *
+                          static_cast<std::uint64_t>(app.filesPerPhase) *
+                          static_cast<std::uint64_t>(app.iterations);
+        iterations_ += static_cast<std::uint64_t>(app.iterations);
+        const std::size_t shard = cfg_.apps.size();
+        cfg_.apps.push_back(calciom::analysis::ClusterAppPlan{app, shard});
+        if (tiny_ && cfg_.apps.size() == 4) {
+          break;
+        }
+      }
+      if (tiny_) {
+        break;
+      }
     }
+    cfg_.shards = cfg_.apps.size() + 1;
   }
 
   CallResult call(unsigned workers, Tracer* tracer,
@@ -520,8 +531,7 @@ class CheckpointWorkload final : public Workload {
 
  private:
   std::uint64_t seed_;
-  std::size_t appsPerShard_;
-  std::size_t shards_;
+  bool tiny_;
   calciom::analysis::ClusterScenarioConfig cfg_;
   std::uint64_t expectedBytes_ = 0;
   std::uint64_t iterations_ = 0;
@@ -555,7 +565,6 @@ class ChaosWorkload final : public Workload {
   // Campaign costs vary widely from plan to plan: one batch of 27 plans
   // differed by 25% between seeds, so a run cycles through ten.
   [[nodiscard]] std::size_t batches() const override { return batches_; }
-  [[nodiscard]] int setupRepeats() const override { return 64; }
 
   void setup(std::size_t batch) override {
     cells_.clear();

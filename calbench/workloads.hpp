@@ -50,9 +50,6 @@ class Workload {
   /// Generates the inputs of batch `batch` (< batches()) and assembles what
   /// the next call runs on.
   virtual void setup(std::size_t batch) = 0;
-  /// Times setup() is repeated per set-up sample, so that each sample spans
-  /// a millisecond or more.
-  [[nodiscard]] virtual int setupRepeats() const { return 1; }
   /// Runs the batch set up last. With a tracer, barrier spans are recorded
   /// by a probe under span `callSpan`.
   virtual CallResult call(unsigned workers, Tracer* tracer,
