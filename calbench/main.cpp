@@ -150,8 +150,12 @@ struct Tally {
   struct Reference {
     std::uint64_t fingerprint = 0;
     std::uint64_t horizonSteps = 0;
+    std::uint64_t failed = 0;
     double makespan = 0.0;
   };
+  /// Operations of the first call of each batch. Every later call of a
+  /// batch repeats its inputs and must repeat its outcome, so the counts
+  /// depend on the seed alone, not on how many calls fit in the run.
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   std::set<std::string> failures;
@@ -159,27 +163,35 @@ struct Tally {
   /// First result of each batch.
   std::map<std::size_t, Reference> first;
 
-  /// Counts the call and checks it against the first call of its batch:
-  /// they had the same inputs, so at any worker count and with tracing on
-  /// or off they must give the same fingerprint and the same round count.
+  /// Counts the first call of a batch and checks every later one against
+  /// it: they had the same inputs, so at any worker count and with tracing
+  /// on or off they must give the same fingerprint, round count and failed
+  /// operations.
   void add(const CallResult& r, std::size_t batch, const char* what) {
-    attempted += r.attempted;
-    failed += r.failed;
-    failures.insert(r.failures.begin(), r.failures.end());
     problems.insert(r.problems.begin(), r.problems.end());
     const auto [it, isFirst] = first.try_emplace(
-        batch, Reference{r.fingerprint, r.horizonSteps, r.makespan});
+        batch,
+        Reference{r.fingerprint, r.horizonSteps, r.failed, r.makespan});
+    if (isFirst) {
+      attempted += r.attempted;
+      failed += r.failed;
+      failures.insert(r.failures.begin(), r.failures.end());
+      return;
+    }
     const Reference& ref = it->second;
-    if (!isFirst && (r.fingerprint != ref.fingerprint ||
-                     r.horizonSteps != ref.horizonSteps)) {
-      char buf[192];
+    if (r.fingerprint != ref.fingerprint ||
+        r.horizonSteps != ref.horizonSteps || r.failed != ref.failed) {
+      char buf[256];
       std::snprintf(buf, sizeof buf,
                     "determinism: %s call of batch %zu gave fingerprint "
-                    "%016llx / %llu horizon steps, first call %016llx / %llu",
+                    "%016llx / %llu horizon steps / %llu failed, first call "
+                    "%016llx / %llu / %llu",
                     what, batch, static_cast<unsigned long long>(r.fingerprint),
                     static_cast<unsigned long long>(r.horizonSteps),
+                    static_cast<unsigned long long>(r.failed),
                     static_cast<unsigned long long>(ref.fingerprint),
-                    static_cast<unsigned long long>(ref.horizonSteps));
+                    static_cast<unsigned long long>(ref.horizonSteps),
+                    static_cast<unsigned long long>(ref.failed));
       problems.insert(buf);
     }
   }

@@ -8,8 +8,9 @@ workload, untraced and traced, that the last stdout line has the result
 schema with exactly the metrics BENCHMARK.json names (with their units), that
 the reference kernel reproduced its checksum, and that no operation failed.
 It also checks that the chaos campaign known to break the one-accessor
-invariant (SameEngine, Fcfs, arbiter crash, plan seed 66) is counted as one
-failed campaign per call. Exits non-zero on any violation.
+invariant (SameEngine, Fcfs, arbiter crash, plan seed 66) is counted as the
+one failed campaign of the run: operations are counted once per batch, and
+the tiny chaos run has one batch. Exits non-zero on any violation.
 """
 
 import json
@@ -86,13 +87,14 @@ def main():
                 failures.append(f"{where}: correct is false")
             failed_lines = [l for l in header if l.startswith("# failed:")]
             if workload == "chaos":
-                calls = result["attempted"] // CELLS_PER_PLAN
-                if not (result["failed"] == calls and len(failed_lines) == 1
+                if not (result["attempted"] == CELLS_PER_PLAN
+                        and result["failed"] == 1 and len(failed_lines) == 1
                         and failed_lines[0].startswith(
                             "# failed: " + KNOWN_FAILURE)):
                     failures.append(
                         f"{where}: want the seed-66 cell as the one failed "
-                        f"campaign per call, got failed={result['failed']} "
+                        f"campaign of {CELLS_PER_PLAN}, got "
+                        f"failed={result['failed']} "
                         f"of {result['attempted']}: {failed_lines}")
             elif result.get("failed") != 0 or failed_lines:
                 failures.append(f"{where}: {failed_lines}")
