@@ -157,6 +157,9 @@ void Arbiter::maybeArmTick() {
     if (crashed_) {
       return;  // the process died while this tick was in flight
     }
+    if (options_.checkpointEverySeconds > 0.0) {
+      store_.logTick(engine_.now());
+    }
     core_.onTick(engine_.now(), scratch_);
     dispatchCommands();
     maybeArmTick();

@@ -251,6 +251,9 @@ bool GlobalArbiter::onBarrier(sim::Time barrierTime) {
   }
   // With leases configured the barrier doubles as the lease sweep: the
   // sync-horizon period is the global arbiter's natural tick.
+  if (config_.checkpointEverySeconds > 0.0) {
+    store_.logTick(barrierTime);
+  }
   core_.onTick(barrierTime, scratch_);
   maybeCheckpoint(barrierTime);
   if (scratch_.empty()) {

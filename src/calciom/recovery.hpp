@@ -8,6 +8,13 @@
 /// (the frontend object keeps the store while the core is wiped and
 /// rebuilt).
 ///
+/// The WAL holds every input that can move the core: wire messages
+/// (`onMessage`), job-scheduler terminations, and timer ticks (`onTick`,
+/// the lease sweep and reconciliation-window close). A tick left out would
+/// let a restore resurrect an accessor the live core had already reclaimed
+/// and granted past, so a later "accessing" heartbeat from that app makes
+/// two accessors.
+///
 /// Restore = `ArbiterCore::restore(snapshot)` followed by replaying the WAL
 /// through the core's normal entry points with the commands *discarded* —
 /// every replayed input already produced (and delivered, at most once) its
@@ -31,13 +38,14 @@
 
 namespace calciom::core {
 
-/// One decision-core input captured in the write-ahead log: either a wire
-/// message (`onMessage`) or a job-scheduler termination.
+/// One decision-core input captured in the write-ahead log: a wire message
+/// (`onMessage`), a job-scheduler termination, or a timer tick (`onTick`).
 struct WalEntry {
+  enum class Kind : std::uint8_t { Message, Termination, Tick };
   sim::Time time = 0.0;
-  std::uint32_t app = 0;
-  bool termination = false;
-  mpi::Info payload;  // empty for terminations
+  Kind kind = Kind::Message;
+  std::uint32_t app = 0;  // unused for ticks
+  mpi::Info payload;      // empty for terminations and ticks
 };
 
 class CheckpointStore {
@@ -59,6 +67,8 @@ class CheckpointStore {
   void logMessage(sim::Time now, std::uint32_t from, const mpi::Info& payload);
   /// Appends one scheduler termination to the WAL.
   void logTermination(sim::Time now, std::uint32_t app);
+  /// Appends one timer tick (`ArbiterCore::onTick`) to the WAL.
+  void logTick(sim::Time now);
 
   [[nodiscard]] bool hasCheckpoint() const noexcept {
     return snap_.has_value();

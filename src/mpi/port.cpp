@@ -33,21 +33,7 @@ bool PortRegistry::scheduleDelivery(const std::string& port,
                                     std::uint32_t fromApp, Info payload,
                                     double delaySeconds) {
   if (!ports_.contains(port)) {
-    if (relay_ == nullptr) {
-      return false;
-    }
-    // Routed at send time: the message belongs to the relay even if the
-    // port opens while it is in flight (a connection is a connection).
-    engine_.scheduleAfter(
-        delaySeconds,
-        [this, port, fromApp, payload = std::move(payload)]() mutable {
-          if (relay_ == nullptr) {
-            return;  // relay removed while the message was in flight
-          }
-          ++relayed_;
-          relay_(port, fromApp, std::move(payload));
-        });
-    return true;
+    return false;
   }
   engine_.scheduleAfter(
       delaySeconds,

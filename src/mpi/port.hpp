@@ -12,20 +12,13 @@
 /// A registry is *shard-local*: it belongs to exactly one machine and
 /// schedules deliveries on that machine's engine, so in a sharded platform
 /// (platform::Cluster) a send can only ever reach ports of the same shard.
-/// Two escape hatches exist for cross-shard coordination, both designed
-/// around sync-horizon barriers where no shard loop is running:
-///  * a *relay*: sends to ports not open locally are handed (after the
-///    usual latency) to a registered relay handler together with the port
-///    name, instead of failing. This is the generic forwarding path for
-///    port names a shard does not host; note that arbiter traffic does NOT
-///    use it today — calciom::ArbiterStub claims msg::arbiterPort()
-///    directly, so the relay currently has no production wiring (covered
-///    by tests/mpi_test.cpp, available for future cross-shard services);
-///  * `deliverNow`: synchronous dispatch into a locally open port, used by
-///    barrier hooks (calciom::GlobalArbiter) to land a cross-shard message
-///    they have already timestamped and scheduled on this shard's engine
-///    (the hop latency was paid by the scheduler, so no second latency is
-///    added here).
+/// Cross-shard coordination goes through sync-horizon barriers, where no
+/// shard loop is running: a barrier hook (calciom::GlobalArbiter) lands a
+/// cross-shard message it has already timestamped and scheduled on this
+/// shard's engine with `deliverNow`, a synchronous dispatch into a locally
+/// open port (the hop latency was paid by the scheduler, so no second
+/// latency is added here). Shard-local stubs such as calciom::ArbiterStub
+/// claim the port names a shard's apps send to.
 
 #include <cstdint>
 #include <functional>
@@ -69,10 +62,6 @@ class DeliveryFilter {
 class PortRegistry {
  public:
   using Handler = std::function<void(std::uint32_t fromApp, Info payload)>;
-  /// Relay handler: receives messages addressed to ports that are not open
-  /// locally, together with the target port's name.
-  using RelayHandler = std::function<void(
-      const std::string& port, std::uint32_t fromApp, Info payload)>;
 
   PortRegistry(sim::Engine& engine, double latency)
       : engine_(engine), affinity_(&engine), latency_(latency) {
@@ -106,13 +95,6 @@ class PortRegistry {
     return ports_.contains(name);
   }
 
-  /// Installs (or, with nullptr, removes) the relay for locally unknown
-  /// ports. With a relay set, send() to a port that is not open locally
-  /// succeeds and delivers to the relay after the registry latency; the
-  /// relay sees the port name and decides where the message goes next.
-  void setRelay(RelayHandler relay) { relay_ = std::move(relay); }
-  [[nodiscard]] bool hasRelay() const noexcept { return relay_ != nullptr; }
-
   /// Installs (or, with nullptr, removes) the delivery filter consulted by
   /// send(). Non-owning: the filter must outlive the registry's sends. Only
   /// send() consults it — deliverNow() is the barrier-time path whose
@@ -126,24 +108,17 @@ class PortRegistry {
   }
 
   /// Sends `payload` to `port`. Returns false if the port does not exist at
-  /// send time and no relay is installed. Delivery is skipped silently if
-  /// the port closes in flight (like a connection torn down while a message
-  /// is queued) — even when a relay is installed: routing is fixed at send
-  /// time, so a message addressed to a then-open port never falls back to
-  /// the relay, which would resurrect traffic for an endpoint that is gone
-  /// (e.g. an application terminated between barriers). Symmetrically, a
-  /// message relayed because the port was unknown at send time stays with
-  /// the relay even if the port opens in flight.
+  /// send time. Delivery is skipped silently if the port closes in flight
+  /// (like a connection torn down while a message is queued, e.g. an
+  /// application terminated between barriers).
   bool send(const std::string& port, std::uint32_t fromApp, Info payload);
 
   /// Synchronously invokes `port`'s handler (no latency, no scheduling).
   /// For barrier-time relays only: the caller has already scheduled this
   /// delivery on the owning engine at a timestamp that includes the hop
-  /// latency. Returns false if the port is not open. Never consults the
-  /// relay: barrier hooks address concrete endpoints, and a closed port
-  /// means the endpoint died in flight — the message must drop, not detour
-  /// (a forwarded Grant re-entering the system could re-register a dead
-  /// application).
+  /// latency. Returns false if the port is not open: barrier hooks address
+  /// concrete endpoints, and a closed port means the endpoint died in
+  /// flight, so the message drops.
   bool deliverNow(const std::string& port, std::uint32_t fromApp,
                   Info payload);
 
@@ -155,7 +130,7 @@ class PortRegistry {
   };
 
   /// Synchronously delivers every entry in order, with deliverNow semantics
-  /// per entry (no latency, no relay, closed ports drop silently). Payloads
+  /// per entry (no latency, closed ports drop silently). Payloads
   /// are moved out of the batch. Port resolution is memoized across
   /// consecutive same-port entries (and across deliverNow calls) through a
   /// registration-epoch-validated cache, so a coalesced per-shard command
@@ -169,13 +144,10 @@ class PortRegistry {
   [[nodiscard]] std::uint64_t messagesDelivered() const noexcept {
     return delivered_;
   }
-  [[nodiscard]] std::uint64_t messagesRelayed() const noexcept {
-    return relayed_;
-  }
 
  private:
   /// The unfiltered send path: schedules one delivery after `delaySeconds`
-  /// (routing fixed at send time, as documented on send()).
+  /// (dropped if the port closes in flight, as documented on send()).
   bool scheduleDelivery(const std::string& port, std::uint32_t fromApp,
                         Info payload, double delaySeconds);
   /// Epoch-validated port lookup: nullptr when the port is not open. The
@@ -191,10 +163,8 @@ class PortRegistry {
   sim::ShardAffinity affinity_;
   double latency_;
   std::map<std::string, Handler> ports_;
-  RelayHandler relay_;
   DeliveryFilter* filter_ = nullptr;
   std::uint64_t delivered_ = 0;
-  std::uint64_t relayed_ = 0;
   /// Registration epoch: bumped on every openPort/closePort.
   std::uint64_t epoch_ = 0;
   std::uint64_t cacheEpoch_ = ~std::uint64_t{0};

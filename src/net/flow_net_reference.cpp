@@ -156,11 +156,6 @@ bool ReferenceFlowNet::groupActiveThrough(ResourceId r,
   return false;
 }
 
-void ReferenceFlowNet::addRatesListener(std::function<void()> fn) {
-  CALCIOM_EXPECTS(fn != nullptr);
-  listeners_.push_back(std::move(fn));
-}
-
 void ReferenceFlowNet::advanceTo(sim::Time t) {
   if (t <= lastAdvance_) {
     return;
@@ -255,26 +250,8 @@ void ReferenceFlowNet::computeRates() {
 }
 
 void ReferenceFlowNet::recompute() {
-  // Listeners (storage servers) may call setCapacity from inside the
-  // notification, which requests another recompute. Run to a fixed point
-  // instead of recursing: capacity updates are idempotent, so the loop
-  // settles once no listener changes anything.
-  if (recomputing_) {
-    recomputePending_ = true;
-    return;
-  }
-  recomputing_ = true;
-  int iterations = 0;
-  do {
-    recomputePending_ = false;
-    computeRates();
-    scheduleNextCompletion();
-    for (const auto& fn : listeners_) {
-      fn();
-    }
-    CALCIOM_ENSURES(++iterations < 1000);  // listener loops must converge
-  } while (recomputePending_);
-  recomputing_ = false;
+  computeRates();
+  scheduleNextCompletion();
 }
 
 void ReferenceFlowNet::scheduleNextCompletion() {

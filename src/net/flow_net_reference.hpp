@@ -13,7 +13,6 @@
 /// Do not optimise this class. Its value is being obviously correct.
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -27,8 +26,8 @@
 namespace calciom::net {
 
 /// Weighted max–min fair fluid network, global-recompute reference version.
-/// Mirrors the FlowNet interface (minus the dirty-set listener form) so the
-/// two can be driven by the same test harness.
+/// Mirrors the FlowNet interface (minus the rates listeners) so the two can
+/// be driven by the same test harness.
 class ReferenceFlowNet {
  public:
   explicit ReferenceFlowNet(sim::Engine& engine) : engine_(engine) {}
@@ -58,8 +57,6 @@ class ReferenceFlowNet {
   [[nodiscard]] double deliveredThrough(ResourceId r) const;
   [[nodiscard]] int activeGroupsThrough(ResourceId r) const;
   [[nodiscard]] bool groupActiveThrough(ResourceId r, std::uint32_t group) const;
-
-  void addRatesListener(std::function<void()> fn);
 
  private:
   struct Resource {
@@ -94,9 +91,6 @@ class ReferenceFlowNet {
   std::size_t activeCount_ = 0;
   sim::Time lastAdvance_ = 0.0;
   std::uint64_t generation_ = 0;
-  std::vector<std::function<void()>> listeners_;
-  bool recomputing_ = false;
-  bool recomputePending_ = false;
 };
 
 }  // namespace calciom::net

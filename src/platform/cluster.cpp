@@ -149,12 +149,10 @@ void Cluster::runRounds(sim::Time limit, unsigned workers) {
     // Sparse activation: dispatch only shards the horizon can reach. A
     // 16-shard round where one shard has work pays one engine call, not 16.
     activeScratch_.clear();
-    std::size_t pendingEstimate = 0;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       const sim::Time t = shards_[i].engine->nextEventTime();
       if (t != sim::kNever && t <= horizon) {
         activeScratch_.push_back(i);
-        pendingEstimate += shards_[i].engine->pendingEvents();
       }
     }
     // Non-empty by construction: the shard owning `next` qualifies.
@@ -168,19 +166,16 @@ void Cluster::runRounds(sim::Time limit, unsigned workers) {
     // An unbounded horizon (unanimous kNever votes with no limit) runs the
     // active shards to completion instead of to +infinity.
     const bool unbounded = horizon == sim::kNever;
-    exec.parallelFor(
-        activeScratch_.size(),
-        [&](std::size_t k) {
-          sim::Engine& eng = *shards_[activeScratch_[k]].engine;
-          if (unbounded) {
-            eng.run();
-          } else if (eng.now() < horizon) {
-            // A shard already at the horizon (possible only when it clamps
-            // to `limit` the shard has reached) has nothing to do.
-            eng.runUntil(horizon);
-          }
-        },
-        pendingEstimate);
+    exec.parallelFor(activeScratch_.size(), [&](std::size_t k) {
+      sim::Engine& eng = *shards_[activeScratch_[k]].engine;
+      if (unbounded) {
+        eng.run();
+      } else if (eng.now() < horizon) {
+        // A shard already at the horizon (possible only when it clamps to
+        // `limit` the shard has reached) has nothing to do.
+        eng.runUntil(horizon);
+      }
+    });
     const sim::Time barrierTime = unbounded ? maxShardClock() : horizon;
     lastHorizon_ = barrierTime;
     anyRoundRan_ = true;

@@ -90,8 +90,8 @@ struct ClusterStats {
   /// campaign's elapsed time), and eventsPerSecond is events per
   /// CPU-second (processedEvents / cpuSeconds). For wall-clock throughput
   /// time the campaign externally — under multiple workers the per-shard
-  /// timers overlap (their sum exceeds elapsed time), and under the serial
-  /// fast path they are disjoint slices of the caller's time (their sum
+  /// timers overlap (their sum exceeds elapsed time), and at one worker
+  /// they are disjoint slices of the caller's time (their sum
   /// approximates elapsed time but also lands inside any external timer),
   /// so no combination of them is elapsed time and adding them to an
   /// external measurement double-counts. Bench tiers report cpuSeconds and

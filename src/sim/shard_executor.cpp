@@ -102,15 +102,14 @@ void ShardExecutor::rethrowLowest(std::size_t n) {
 }
 
 void ShardExecutor::parallelFor(std::size_t n,
-                                const std::function<void(std::size_t)>& fn,
-                                std::size_t workEstimate) {
+                                const std::function<void(std::size_t)>& fn) {
   if (n == 0) {
     return;
   }
   CALCIOM_EXPECTS(n <= kIndexMask);
   errors_.assign(n, nullptr);
-  if (threads_.empty() || n == 1 || workEstimate <= kSerialWorkThreshold) {
-    // Serial fast path: the pool is never woken, the round costs a loop.
+  if (threads_.empty() || n == 1) {
+    // No other thread could take part: the round is a plain loop.
     runSerial(n, fn);
     rethrowLowest(n);
     return;

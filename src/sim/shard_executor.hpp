@@ -13,13 +13,11 @@
 ///    is one atomic store plus one futex wake — no mutex, no condvar
 ///    broadcast storm.
 ///  * The caller participates. `parallelFor(n, fn)` has the calling thread
-///    pull indices alongside the pool, so `workers == 1` (or an empty pool)
-///    degenerates to a plain loop with no synchronization — the serial path
-///    of a 1-worker cluster pays nothing.
-///  * Adaptive serial fast path. Rounds whose estimated work (caller-supplied
-///    `workEstimate`, e.g. the pending-event count) falls below
-///    `kSerialWorkThreshold` run entirely on the calling thread without
-///    waking the pool: a futex wake costs microseconds, a tiny round less.
+///    pull indices alongside the pool. A round runs as a plain loop on the
+///    caller only when no other thread could take part: an empty pool
+///    (`workers == 1`) or a single index. Every other round goes through
+///    the pool, so a multi-worker cluster really runs its shards at the
+///    same time and every multi-worker test exercises that.
 ///  * Deterministic failure. Exceptions from `fn(i)` are captured in
 ///    per-index slots and the lowest-index one is rethrown after the round
 ///    completes, so which error surfaces does not depend on thread
@@ -61,15 +59,6 @@ namespace calciom::sim {
 
 class ShardExecutor {
  public:
-  /// Rounds with `workEstimate` at or below this run serially on the caller
-  /// without waking the pool. Calibration: waking a parked worker costs a
-  /// futex syscall (microseconds), a simulated event runs in well under one,
-  /// so a round worth a few hundred events is cheaper to run in place.
-  static constexpr std::size_t kSerialWorkThreshold = 256;
-
-  /// Passed as `workEstimate` when the round should always go parallel.
-  static constexpr std::size_t kNoEstimate = static_cast<std::size_t>(-1);
-
   /// Creates a pool that runs rounds on `workers` threads total (the caller
   /// counts as one, so `workers - 1` threads are spawned). `workers` is
   /// clamped to at least 1.
@@ -81,14 +70,9 @@ class ShardExecutor {
   /// Invokes `fn(i)` exactly once for every i in [0, n), distributed over
   /// the pool plus the calling thread; blocks until all calls finished.
   /// `fn` must be safe to call concurrently for distinct indices. If any
-  /// call threw, the lowest-index exception is rethrown. `workEstimate` is
-  /// an optional hint of how much total work the round holds (any unit the
-  /// caller likes, e.g. pending events); at or below
-  /// `kSerialWorkThreshold` the round stays on the calling thread.
-  /// `n` must fit in 32 bits (index shares an atomic word with the round
-  /// generation).
-  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
-                   std::size_t workEstimate = kNoEstimate);
+  /// call threw, the lowest-index exception is rethrown. `n` must fit in 32
+  /// bits (index shares an atomic word with the round generation).
+  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Total threads a round runs on (pool + caller).
   [[nodiscard]] unsigned workers() const noexcept {

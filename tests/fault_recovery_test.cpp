@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <queue>
 #include <string>
@@ -187,6 +188,7 @@ TEST(RecoverySnapshot, EncodingDistinguishesDifferentStates) {
 TEST(RecoveryStore, WalReplayReproducesTheLiveCore) {
   CheckpointStore store(8);
   ArbiterCore live(makePolicy(PolicyKind::Fcfs));
+  live.configureLeases(LeaseConfig{1.5, 0.0});
   ArbiterCore::Commands out;
   const auto feed = [&](double t, std::uint32_t app, const Info& w) {
     store.logMessage(t, app, w);
@@ -198,11 +200,21 @@ TEST(RecoveryStore, WalReplayReproducesTheLiveCore) {
   feed(3.0, 1, typedWire(msg::kComplete));
   store.logTermination(3.5, 2);
   live.onApplicationTerminated(3.5, 2, out);
+  feed(4.0, 3, informWire(3));  // granted: the queue is empty
+  feed(5.0, 4, informWire(4));  // queued behind app 3
+  // App 3 falls silent: the lease sweep reclaims it and grants app 4. A
+  // restore that missed this tick would bring app 3 back as the accessor.
+  store.logTick(6.0);
+  live.onTick(6.0, out);
+  ASSERT_EQ(live.leaseReclaims(), 1u);
+  ASSERT_EQ(live.currentAccessors(), std::vector<std::uint32_t>{4});
 
   ArbiterCore rebuilt(makePolicy(PolicyKind::Fcfs));
-  EXPECT_EQ(store.restoreInto(rebuilt), 3u);
-  EXPECT_EQ(encodeSnapshot(rebuilt.snapshot(4.0)),
-            encodeSnapshot(live.snapshot(4.0)));
+  rebuilt.configureLeases(LeaseConfig{1.5, 0.0});
+  EXPECT_EQ(store.restoreInto(rebuilt), 6u);
+  EXPECT_EQ(encodeSnapshot(rebuilt.snapshot(7.0)),
+            encodeSnapshot(live.snapshot(7.0)));
+  EXPECT_EQ(rebuilt.currentAccessors(), live.currentAccessors());
   EXPECT_EQ(rebuilt.decisions().size(), live.decisions().size());
   EXPECT_EQ(rebuilt.grantLog(), live.grantLog());
 }
@@ -382,8 +394,8 @@ TEST(RecoveryDeadSet, MonthOfIntrepidTerminationsStaysBounded) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end crash-recovery chaos. 60 same-engine + 45 cluster seeded
-// schedules (105 total), three policies, 1/2/8 workers: every campaign must
+// End-to-end crash-recovery chaos. 66 same-engine + 45 cluster seeded
+// schedules (111 total), three policies, 1/2/8 workers: every campaign must
 // terminate with safety intact through crash and recovery.
 
 void expectCrashInvariants(const ChaosConfig& cfg, const ChaosResult& r,
@@ -402,13 +414,33 @@ void expectCrashInvariants(const ChaosConfig& cfg, const ChaosResult& r,
   EXPECT_GE(r.checkpoints, 1u);
 }
 
+// Same-engine cells where a lease-sweep tick in the un-checkpointed WAL
+// tail reclaimed a silent accessor and granted the next app. A restore
+// that skipped the tick brought the dead accessor back, and its
+// "accessing" heartbeat then made two accessors. The `seed % 3` policy
+// mapping below never picks these (seed, policy) pairs.
+struct CrashCell {
+  std::uint64_t seed;
+  PolicyKind policy;
+};
+constexpr CrashCell kTickReplayCells[] = {
+    {66, PolicyKind::Fcfs},       {314, PolicyKind::Fcfs},
+    {470, PolicyKind::Fcfs},      {431, PolicyKind::Interrupt},
+    {470, PolicyKind::Interrupt}, {509, PolicyKind::Interrupt},
+};
+
 TEST(RecoveryChaos, SameEngineArbiterCrashSchedules) {
+  std::vector<CrashCell> cells(std::begin(kTickReplayCells),
+                               std::end(kTickReplayCells));
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    cells.push_back({seed, kPolicies[seed % 3]});
+  }
+  for (const CrashCell& cell : cells) {
     ChaosConfig cfg;
     cfg.transport = ChaosTransport::SameEngine;
-    cfg.policy = kPolicies[seed % 3];
-    cfg.plan = withArbiterCrash(chaosPlan(seed, cfg.apps), seed);
-    expectCrashInvariants(cfg, runChaos(cfg), seed);
+    cfg.policy = cell.policy;
+    cfg.plan = withArbiterCrash(chaosPlan(cell.seed, cfg.apps), cell.seed);
+    expectCrashInvariants(cfg, runChaos(cfg), cell.seed);
   }
 }
 

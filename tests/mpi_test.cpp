@@ -174,48 +174,6 @@ TEST(PortRegistryTest, MessagesPreserveSendOrderAtEqualLatency) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(PortRegistryTest, RelayCatchesUnknownPorts) {
-  Engine eng;
-  PortRegistry reg(eng, 1e-3);
-  std::vector<std::string> relayedPorts;
-  std::vector<std::uint32_t> relayedFrom;
-  reg.setRelay([&](const std::string& port, std::uint32_t from, Info) {
-    relayedPorts.push_back(port);
-    relayedFrom.push_back(from);
-  });
-  EXPECT_TRUE(reg.hasRelay());
-  // Unknown port: goes to the relay (with the port name) after the latency.
-  Info payload;
-  payload.set("k", "v");
-  EXPECT_TRUE(reg.send("remote/elsewhere", 7, payload));
-  // Known ports still deliver locally, not through the relay.
-  int local = 0;
-  reg.openPort("local", [&](std::uint32_t, Info) { ++local; });
-  EXPECT_TRUE(reg.send("local", 7, payload));
-  eng.run();
-  ASSERT_EQ(relayedPorts.size(), 1u);
-  EXPECT_EQ(relayedPorts[0], "remote/elsewhere");
-  EXPECT_EQ(relayedFrom[0], 7u);
-  EXPECT_EQ(local, 1);
-  EXPECT_EQ(reg.messagesRelayed(), 1u);
-  EXPECT_EQ(reg.messagesDelivered(), 1u);
-}
-
-TEST(PortRegistryTest, RelayRoutingIsFixedAtSendTime) {
-  Engine eng;
-  PortRegistry reg(eng, 1e-3);
-  int relayed = 0;
-  int local = 0;
-  reg.setRelay([&](const std::string&, std::uint32_t, Info) { ++relayed; });
-  EXPECT_TRUE(reg.send("late", 1, Info{}));
-  // The port opens while the message is in flight: the message stays with
-  // the relay (it was routed at send time).
-  reg.openPort("late", [&](std::uint32_t, Info) { ++local; });
-  eng.run();
-  EXPECT_EQ(relayed, 1);
-  EXPECT_EQ(local, 0);
-}
-
 TEST(PortRegistryTest, DeliverNowIsSynchronousAndCounted) {
   Engine eng;
   PortRegistry reg(eng, 1e-3);
@@ -231,40 +189,31 @@ TEST(PortRegistryTest, DeliverNowIsSynchronousAndCounted) {
   EXPECT_EQ(reg.messagesDelivered(), 1u);
 }
 
-TEST(PortRegistryTest, PortClosedInFlightDoesNotFallBackToRelay) {
-  // Routing is fixed at send time: a message addressed to a then-open port
-  // whose owner dies in flight must be dropped, NOT handed to the relay. A
-  // relay forwarding it onward could re-register a dead application with a
-  // cross-shard service (the GlobalArbiter's stale-Inform discard guards
-  // the same scenario one layer up).
+TEST(PortRegistryTest, PortClosedInFlightDropsTheMessage) {
+  // A message addressed to a then-open port whose owner dies in flight is
+  // dropped, never delivered (the GlobalArbiter's stale-Inform discard
+  // guards the same scenario one layer up). A port unknown at send time is
+  // refused outright.
   Engine eng;
   PortRegistry reg(eng, 1.0);
-  int relayed = 0;
   int local = 0;
-  reg.setRelay([&](const std::string&, std::uint32_t, Info) { ++relayed; });
   reg.openPort("calciom/app/7", [&](std::uint32_t, Info) { ++local; });
   EXPECT_TRUE(reg.send("calciom/app/7", 1, Info{}));
+  EXPECT_FALSE(reg.send("calciom/app/8", 1, Info{}));
   eng.scheduleAt(0.5, [&] { reg.closePort("calciom/app/7"); });  // app dies
   eng.run();
   EXPECT_EQ(local, 0);
-  EXPECT_EQ(relayed, 0);
   EXPECT_EQ(reg.messagesDelivered(), 0u);
-  EXPECT_EQ(reg.messagesRelayed(), 0u);
 }
 
-TEST(PortRegistryTest, DeliverNowNeverConsultsTheRelay) {
+TEST(PortRegistryTest, DeliverNowNeverReachesAMissingPort) {
   // Barrier hooks use deliverNow to land messages on concrete endpoints; a
   // closed port means the endpoint terminated between barriers, and the
-  // message must drop rather than detour through the relay (a relayed
-  // Grant re-entering the system would resurrect the dead app's traffic).
+  // message drops.
   Engine eng;
   PortRegistry reg(eng, 1e-3);
-  int relayed = 0;
-  reg.setRelay([&](const std::string&, std::uint32_t, Info) { ++relayed; });
   EXPECT_FALSE(reg.deliverNow("calciom/app/9", 0, Info{}));
-  EXPECT_EQ(relayed, 0);
   EXPECT_EQ(reg.messagesDelivered(), 0u);
-  EXPECT_EQ(reg.messagesRelayed(), 0u);
 }
 
 TEST(PortRegistryTest, HandlerCanReplyThroughAnotherPort) {

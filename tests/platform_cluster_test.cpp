@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/flow_scenarios.hpp"
@@ -167,6 +169,31 @@ TEST(ClusterDeterminismTest, BitIdenticalAcross1_2_8Workers) {
       EXPECT_EQ(got[s].transitionsScheduled, base[s].transitionsScheduled);
     }
   }
+}
+
+// A round with two active shards on a 2-worker cluster must run them at
+// the same time: each shard's event raises its flag and then waits for the
+// other's. Run one after the other, the first event would wait out the
+// bound alone. The bound is generous so a loaded machine cannot fail it.
+TEST(ClusterTest, TwoShardRoundRunsShardsConcurrently) {
+  Cluster cl(smallSpec(2));
+  std::atomic<bool> raised[2] = {false, false};
+  bool sawOther[2] = {false, false};
+  for (std::size_t s = 0; s < 2; ++s) {
+    cl.engine(s).scheduleAt(0.1, [&raised, &sawOther, s] {
+      raised[s].store(true);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!raised[1 - s].load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      sawOther[s] = raised[1 - s].load();
+    });
+  }
+  cl.run(2);
+  EXPECT_TRUE(sawOther[0]);
+  EXPECT_TRUE(sawOther[1]);
 }
 
 TEST(ClusterTest, RunUntilAlignsEveryShardClock) {

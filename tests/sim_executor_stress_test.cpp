@@ -2,7 +2,8 @@
 // back-to-back rounds of randomized tiny jobs across a wide pool, exercising
 // the seqlock publication path, the tagged CAS index distribution, the
 // spin-then-park sleep/wake cycle (tiny jobs make workers park between
-// rounds), the serial fast path, and deterministic exception selection.
+// rounds), the serial path of a 1-worker pool, and deterministic exception
+// selection.
 // Run under TSan in CI — the protocol's memory ordering is the test subject.
 
 #include "sim/shard_executor.hpp"
@@ -30,8 +31,9 @@ std::size_t roundSize(std::uint64_t round) {
 
 // 1000 rounds x 8 workers x randomized tiny jobs: every index must run
 // exactly once per round, and the done-count completion must never hang on
-// a parked worker. kNoEstimate forces the parallel path even for 1-index
-// rounds, so the handoff itself is what gets hammered.
+// a parked worker. Every round of two or more indices goes through the
+// pool (1-index rounds run on the caller), so the handoff itself is what
+// gets hammered.
 TEST(ShardExecutorStressTest, ThousandTinyRoundsEveryIndexExactlyOnce) {
   ShardExecutor exec(8);
   ASSERT_EQ(exec.workers(), 8u);
@@ -41,12 +43,9 @@ TEST(ShardExecutorStressTest, ThousandTinyRoundsEveryIndexExactlyOnce) {
     for (auto& h : hits) {
       h.store(0, std::memory_order_relaxed);
     }
-    exec.parallelFor(
-        n,
-        [&hits](std::size_t i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        },
-        ShardExecutor::kNoEstimate);
+    exec.parallelFor(n, [&hits](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       ASSERT_EQ(hits[i].load(std::memory_order_relaxed), i < n ? 1u : 0u)
           << "round " << round << " index " << i;
@@ -83,14 +82,11 @@ TEST(ShardExecutorStressTest, LowestIndexExceptionWinsAndPoolSurvives) {
   ShardExecutor exec(8);
   for (int round = 0; round < 100; ++round) {
     try {
-      exec.parallelFor(
-          64,
-          [round](std::size_t i) {
-            if (i % 7 == static_cast<std::size_t>(round % 7)) {
-              throw std::runtime_error("idx" + std::to_string(i));
-            }
-          },
-          ShardExecutor::kNoEstimate);
+      exec.parallelFor(64, [round](std::size_t i) {
+        if (i % 7 == static_cast<std::size_t>(round % 7)) {
+          throw std::runtime_error("idx" + std::to_string(i));
+        }
+      });
       FAIL() << "round " << round << " did not throw";
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()),
@@ -106,33 +102,35 @@ TEST(ShardExecutorStressTest, LowestIndexExceptionWinsAndPoolSurvives) {
   EXPECT_EQ(ran.load(), 32u);
 }
 
-// Rounds at or below kSerialWorkThreshold run entirely on the caller; the
-// exactly-once and lowest-exception semantics must be identical to the
-// parallel path.
+// A 1-worker pool runs every round on the caller; the exactly-once and
+// lowest-exception semantics must be identical to the parallel path: every
+// index runs even after one threw, and the lowest throwing index surfaces.
 TEST(ShardExecutorStressTest, SerialFastPathKeepsSemantics) {
-  ShardExecutor exec(8);
+  ShardExecutor exec(1);
+  ASSERT_EQ(exec.workers(), 1u);
   std::vector<std::atomic<std::uint32_t>> hits(64);
   for (auto& h : hits) {
     h.store(0, std::memory_order_relaxed);
   }
-  exec.parallelFor(
-      64,
-      [&hits](std::size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      },
-      /*workEstimate=*/ShardExecutor::kSerialWorkThreshold);
+  exec.parallelFor(64, [&hits](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(hits[i].load(std::memory_order_relaxed), 1u);
   }
-  EXPECT_THROW(exec.parallelFor(
-                   8,
-                   [](std::size_t i) {
-                     if (i >= 3) {
-                       throw std::logic_error("boom");
-                     }
-                   },
-                   /*workEstimate=*/1),
-               std::logic_error);
+  std::size_t ran = 0;
+  try {
+    exec.parallelFor(8, [&ran](std::size_t i) {
+      ++ran;
+      if (i >= 3) {
+        throw std::logic_error("idx" + std::to_string(i));
+      }
+    });
+    FAIL() << "serial round did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()), "idx3");
+  }
+  EXPECT_EQ(ran, 8u);
 }
 
 // Destruction races: pools torn down immediately after tiny rounds (workers
@@ -142,9 +140,7 @@ TEST(ShardExecutorStressTest, RapidConstructDestroyCycles) {
   for (int cycle = 0; cycle < 50; ++cycle) {
     ShardExecutor exec(4);
     std::atomic<std::uint32_t> ran{0};
-    exec.parallelFor(
-        3, [&ran](std::size_t) { ran.fetch_add(1); },
-        ShardExecutor::kNoEstimate);
+    exec.parallelFor(3, [&ran](std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 3u);
   }
 }
