@@ -588,7 +588,7 @@ void ArbiterCore::detachAccessor(sim::Time now, std::uint32_t app) {
 
 void ArbiterCore::applyRecoveryReport(sim::Time now, std::uint32_t app,
                                       const mpi::Info& payload, Commands& out) {
-  const std::string claim = *payload.get(msg::kSessionState);
+  const std::string_view claim = *payload.get(msg::kSessionState);
   const auto it = apps_.find(app);
   if (claim == "idle") {
     // The phase the restored record holds open already closed at the

@@ -1,5 +1,7 @@
 #include "calciom/session.hpp"
 
+#include <initializer_list>
+#include <string>
 #include <utility>
 
 #include "sim/contracts.hpp"
@@ -28,6 +30,20 @@ Session::~Session() {
 }
 
 void Session::prepare(const mpi::Info& info) {
+  // Prepare() adds descriptor knowledge (IoDescriptor::k* overrides). The
+  // protocol stamps are the session's own: inform() merges this stack into
+  // the wire Inform, and a forged kIncarnation would fence the app out, a
+  // forged kSessionState turn its Inform into a Recover answer.
+  for (const char* stamp :
+       {msg::kType, msg::kSeq, msg::kEpoch, msg::kIncarnation,
+        msg::kSessionState, msg::kProgress, msg::kCmdSeq,
+        msg::kArbiterIncarnation}) {
+    if (info.has(stamp)) {
+      throw PreconditionError(
+          std::string("Session::prepare: protocol key in Prepare() Info: ") +
+          stamp);
+    }
+  }
   preparedStack_.push_back(info);
 }
 

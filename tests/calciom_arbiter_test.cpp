@@ -33,7 +33,7 @@ struct FakeApp {
   FakeApp(std::uint32_t appId, PortRegistry& registry)
       : id(appId), ports(registry) {
     ports.openPort(msg::appPort(id), [this](std::uint32_t, Info payload) {
-      received.push_back(*payload.get(msg::kType));
+      received.emplace_back(*payload.get(msg::kType));
     });
   }
   ~FakeApp() { ports.closePort(msg::appPort(id)); }

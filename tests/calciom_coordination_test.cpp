@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "calciom/arbiter.hpp"
+#include "calciom/capture.hpp"
+#include "calciom/descriptor.hpp"
 #include "calciom/policy.hpp"
 #include "calciom/session.hpp"
 #include "mpi/port.hpp"
@@ -18,8 +21,11 @@ namespace {
 
 using calciom::core::Action;
 using calciom::core::Arbiter;
+using calciom::core::CapturedEvent;
 using calciom::core::CpuSecondsWasted;
+using calciom::core::EventLog;
 using calciom::core::HookGranularity;
+using calciom::core::IoDescriptor;
 using calciom::core::makePolicy;
 using calciom::core::PolicyKind;
 using calciom::core::Session;
@@ -30,6 +36,7 @@ using calciom::sim::Delay;
 using calciom::sim::Engine;
 using calciom::sim::Task;
 using calciom::sim::Time;
+namespace msg = calciom::core::msg;
 
 constexpr double kLatency = 1e-3;
 
@@ -293,8 +300,10 @@ TEST(CoordinationTest, BackToBackPhasesReuseTheSession) {
 TEST(CoordinationTest, PrepareCompleteStackInfluencesDescriptor) {
   Harness h(PolicyKind::Fcfs);
   Session s = h.makeSession(1, 64);
+  EventLog log;
+  s.captureTo(&log);
   calciom::mpi::Info extra;
-  extra.setDouble(calciom::core::IoDescriptor::kEstAlone, 99.0);
+  extra.setDouble(IoDescriptor::kEstAlone, 99.0);
   s.prepare(extra);
   AppResult res;
   h.eng.spawn(synthApp(h.eng, s, phaseInfo(1, 1, 1, 1.0), 1, 1, 1.0, 0.0,
@@ -302,10 +311,41 @@ TEST(CoordinationTest, PrepareCompleteStackInfluencesDescriptor) {
   h.eng.run();
   s.complete();
   EXPECT_EQ(s.informsSent(), 1);
-  // The prepared override must have reached the arbiter's record: start a
-  // second app while idle to inspect... (indirect: no crash and stack pops
-  // cleanly). Direct descriptor inspection is covered in arbiter tests.
+  // The prepared override reached the wire: the captured Inform carries it
+  // in place of the phase's own estimate (1 s).
+  const auto inform = std::find_if(
+      log.events().begin(), log.events().end(), [](const CapturedEvent& e) {
+        return e.payload.get(msg::kType) == msg::kInform;
+      });
+  ASSERT_NE(inform, log.events().end());
+  EXPECT_EQ(inform->payload.getDouble(IoDescriptor::kEstAlone), 99.0);
+  EXPECT_EQ(IoDescriptor::fromInfo(inform->payload).estAloneSeconds, 99.0);
   EXPECT_THROW(s.complete(), calciom::PreconditionError);
+}
+
+TEST(CoordinationTest, PrepareRejectsProtocolStamps) {
+  // Prepare() is merged into the wire Inform. A protocol stamp in it would
+  // reach the arbiter as if the session had written it: kIncarnation fences
+  // the app out, kSessionState makes the Inform a Recover answer.
+  Harness h(PolicyKind::Fcfs);
+  Session s = h.makeSession(1, 64);
+  for (const char* stamp :
+       {msg::kType, msg::kSeq, msg::kEpoch, msg::kIncarnation,
+        msg::kSessionState, msg::kProgress, msg::kCmdSeq,
+        msg::kArbiterIncarnation}) {
+    calciom::mpi::Info forged;
+    forged.setDouble(IoDescriptor::kEstAlone, 5.0);
+    forged.set(stamp, "1");
+    EXPECT_THROW(s.prepare(forged), calciom::PreconditionError) << stamp;
+  }
+  // Nothing was stacked, and descriptor overrides stay legal.
+  EXPECT_THROW(s.complete(), calciom::PreconditionError);
+  calciom::mpi::Info legal;
+  legal.setDouble(IoDescriptor::kEstAlone, 5.0);
+  legal.setInt(IoDescriptor::kFiles, 2);
+  legal.set("user.hint", "strided");
+  EXPECT_NO_THROW(s.prepare(legal));
+  s.complete();
 }
 
 }  // namespace
